@@ -1,8 +1,9 @@
 package predict
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ECMConfig tunes the Empirical Conditional Method predictor.
@@ -56,8 +57,8 @@ type ECM struct {
 	cond    ecmKey
 	hasCond bool
 
-	buckets map[ecmKey]*ecmRing
-	global  *ecmRing
+	buckets map[ecmKey]*Ring
+	global  Ring
 
 	scratch []float64
 }
@@ -67,9 +68,9 @@ func NewECM(cfg ECMConfig) *ECM {
 	cfg = cfg.defaults()
 	return &ECM{
 		cfg:     cfg,
-		buckets: make(map[ecmKey]*ecmRing),
-		global:  newEcmRing(cfg.GlobalCap),
-		scratch: make([]float64, 0, maxInt(cfg.BucketCap, cfg.GlobalCap)),
+		buckets: make(map[ecmKey]*Ring),
+		global:  MakeRing(cfg.GlobalCap),
+		scratch: make([]float64, 0, max(cfg.BucketCap, cfg.GlobalCap)),
 	}
 }
 
@@ -83,44 +84,46 @@ func (e *ECM) SetConditions(in FBInputs) {
 	e.hasCond = true
 }
 
-// ClearConditions drops the standing conditioning measurements.
-func (e *ECM) ClearConditions() { e.hasCond = false }
-
 // Observe implements HB. Non-positive or non-finite samples are
 // rejected so the retained distributions stay JSON-safe.
 func (e *ECM) Observe(x float64) {
 	if !isFinitePositive(x) {
 		return
 	}
-	e.global.push(x)
+	e.global.Push(x)
 	if !e.hasCond {
 		return
 	}
 	r := e.buckets[e.cond]
 	if r == nil {
-		r = newEcmRing(e.cfg.BucketCap)
+		r = e.newBucket()
 		e.buckets[e.cond] = r
 	}
-	r.push(x)
+	r.Push(x)
+}
+
+func (e *ECM) newBucket() *Ring {
+	r := MakeRing(e.cfg.BucketCap)
+	return &r
 }
 
 // ring returns the distribution Predict and PredictQuantiles draw from:
 // the conditioning bucket when it has enough mass, else the global
 // fallback.
-func (e *ECM) ring() *ecmRing {
+func (e *ECM) ring() *Ring {
 	if e.hasCond {
-		if r := e.buckets[e.cond]; r != nil && r.count() >= e.cfg.MinBucket {
+		if r := e.buckets[e.cond]; r != nil && r.Len() >= e.cfg.MinBucket {
 			return r
 		}
 	}
-	return e.global
+	return &e.global
 }
 
 // Predict implements HB: the forecast is the empirical median of the
 // selected distribution.
 func (e *ECM) Predict() (float64, bool) {
 	r := e.ring()
-	if r.count() == 0 {
+	if r.Len() == 0 {
 		return 0, false
 	}
 	e.sortInto(r)
@@ -130,7 +133,7 @@ func (e *ECM) Predict() (float64, bool) {
 // PredictQuantiles implements QuantilePredictor.
 func (e *ECM) PredictQuantiles() (Quantiles, bool) {
 	r := e.ring()
-	if r.count() < residualMinSamples {
+	if r.Len() < residualMinSamples {
 		return Quantiles{}, false
 	}
 	e.sortInto(r)
@@ -141,77 +144,65 @@ func (e *ECM) PredictQuantiles() (Quantiles, bool) {
 	}, true
 }
 
-func (e *ECM) sortInto(r *ecmRing) {
-	e.scratch = r.chronological(e.scratch[:0])
+func (e *ECM) sortInto(r *Ring) {
+	e.scratch = append(e.scratch[:0], r.Unordered()...)
 	insertionSort(e.scratch)
 }
 
 // Reset implements HB.
 func (e *ECM) Reset() {
-	e.buckets = make(map[ecmKey]*ecmRing)
-	e.global.reset()
+	e.buckets = make(map[ecmKey]*Ring)
+	e.global.Reset()
 	e.hasCond = false
 }
 
-// ECMBucketState is one conditioning bucket's retained samples.
-type ECMBucketState struct {
-	RTT     int8      `json:"rtt"`
-	Loss    int8      `json:"loss"`
-	ABW     int8      `json:"abw"`
-	Samples []float64 `json:"samples"`
+// AppendState implements Stateful: the global ring, the bucket count,
+// then each bucket's key (RTT, loss, avail-bw bins) and ring, in
+// ascending key order so equal predictors encode identically. The
+// standing conditions are not state: the serving layer re-derives them
+// from its standing measurements.
+func (e *ECM) AppendState(dst []float64) []float64 {
+	dst = e.global.AppendState(dst)
+	keys := make([]ecmKey, 0, len(e.buckets))
+	for k := range e.buckets {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, ecmKey.compare)
+	dst = append(dst, float64(len(keys)))
+	for _, k := range keys {
+		dst = append(dst, float64(k.RTT), float64(k.Loss), float64(k.ABW))
+		dst = e.buckets[k].AppendState(dst)
+	}
+	return dst
 }
 
-// ECMState is the JSON-serializable snapshot of an ECM predictor.
-// Buckets are sorted by key so encoding is deterministic.
-type ECMState struct {
-	Global  []float64        `json:"global,omitempty"`
-	Buckets []ECMBucketState `json:"buckets,omitempty"`
+// LoadState implements Stateful. Samples must be positive, and keys
+// within the binning's range and strictly ascending.
+func (e *ECM) LoadState(src []float64) ([]float64, error) {
+	d := stateDecoder{src: src}
+	d.ring(&e.global, true)
+	// Each bucket takes at least four values: its key and its ring count.
+	n := d.count(len(d.src) / 4)
+	e.buckets = make(map[ecmKey]*Ring, n)
+	var prev ecmKey
+	for i := 0; i < n && d.err == nil; i++ {
+		k := ecmKey{
+			RTT:  int8(d.integer(-1, 12)),
+			Loss: int8(d.integer(-5, 0)),
+			ABW:  int8(d.integer(-20, 14)),
+		}
+		if i > 0 && prev.compare(k) >= 0 {
+			d.fail("ECM bucket keys out of order")
+		}
+		r := e.newBucket()
+		d.ring(r, true)
+		e.buckets[k], prev = r, k
+	}
+	return d.result()
 }
 
-// State captures the predictor for a snapshot.
-func (e *ECM) State() ECMState {
-	st := ECMState{Global: e.global.chronological(nil)}
-	for k, r := range e.buckets {
-		st.Buckets = append(st.Buckets, ECMBucketState{
-			RTT: k.RTT, Loss: k.Loss, ABW: k.ABW,
-			Samples: r.chronological(nil),
-		})
-	}
-	sort.Slice(st.Buckets, func(i, j int) bool {
-		a, b := st.Buckets[i], st.Buckets[j]
-		if a.RTT != b.RTT {
-			return a.RTT < b.RTT
-		}
-		if a.Loss != b.Loss {
-			return a.Loss < b.Loss
-		}
-		return a.ABW < b.ABW
-	})
-	return st
-}
-
-// SetState restores a snapshot produced by State, overwriting all
-// retained distributions. Conditioning state is not part of the
-// snapshot; the serving layer re-derives it from FB inputs on restore.
-func (e *ECM) SetState(st ECMState) {
-	e.buckets = make(map[ecmKey]*ecmRing, len(st.Buckets))
-	e.global.reset()
-	for _, v := range st.Global {
-		if isFinitePositive(v) {
-			e.global.push(v)
-		}
-	}
-	for _, b := range st.Buckets {
-		r := newEcmRing(e.cfg.BucketCap)
-		for _, v := range b.Samples {
-			if isFinitePositive(v) {
-				r.push(v)
-			}
-		}
-		if r.count() > 0 {
-			e.buckets[ecmKey{RTT: b.RTT, Loss: b.Loss, ABW: b.ABW}] = r
-		}
-	}
+func (k ecmKey) compare(o ecmKey) int {
+	return cmp.Or(cmp.Compare(k.RTT, o.RTT), cmp.Compare(k.Loss, o.Loss), cmp.Compare(k.ABW, o.ABW))
 }
 
 // bucketKey bins the conditioning variables on log scales.
@@ -241,51 +232,4 @@ func clampInt8(v, lo, hi int) int8 {
 		v = hi
 	}
 	return int8(v)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ecmRing is a bounded FIFO of throughput samples.
-type ecmRing struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-func newEcmRing(n int) *ecmRing {
-	return &ecmRing{buf: make([]float64, 0, n)}
-}
-
-func (r *ecmRing) push(x float64) {
-	if !r.full && len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, x)
-		if len(r.buf) == cap(r.buf) {
-			r.full = true
-			r.next = 0
-		}
-		return
-	}
-	r.buf[r.next] = x
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-func (r *ecmRing) count() int { return len(r.buf) }
-
-func (r *ecmRing) reset() {
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.full = false
-}
-
-func (r *ecmRing) chronological(dst []float64) []float64 {
-	if r.full {
-		dst = append(dst, r.buf[r.next:]...)
-		return append(dst, r.buf[:r.next]...)
-	}
-	return append(dst, r.buf...)
 }

@@ -28,10 +28,8 @@ type HB interface {
 // is the mean of the last n observations.
 type MA struct {
 	n    int
-	buf  []float64
-	head int
-	full bool
-	sum  float64
+	win  Ring
+	sum  float64 // running sum of win, updated per observation
 	name string
 }
 
@@ -40,7 +38,7 @@ func NewMA(n int) *MA {
 	if n < 1 {
 		n = 1
 	}
-	return &MA{n: n, buf: make([]float64, 0, n), name: maName(n)}
+	return &MA{n: n, win: MakeRing(n), name: maName(n)}
 }
 
 func maName(n int) string {
@@ -49,41 +47,25 @@ func maName(n int) string {
 
 // Predict implements HB.
 func (m *MA) Predict() (float64, bool) {
-	c := m.count()
+	c := m.win.Len()
 	if c == 0 {
 		return 0, false
 	}
 	return m.sum / float64(c), true
 }
 
-func (m *MA) count() int {
-	if m.full {
-		return m.n
-	}
-	return len(m.buf)
-}
-
 // Observe implements HB.
 func (m *MA) Observe(x float64) {
-	if !m.full && len(m.buf) < m.n {
-		m.buf = append(m.buf, x)
+	if old, ok := m.win.Push(x); ok {
+		m.sum += x - old
+	} else {
 		m.sum += x
-		if len(m.buf) == m.n {
-			m.full = true
-			m.head = 0
-		}
-		return
 	}
-	m.sum += x - m.buf[m.head]
-	m.buf[m.head] = x
-	m.head = (m.head + 1) % m.n
 }
 
 // Reset implements HB.
 func (m *MA) Reset() {
-	m.buf = m.buf[:0]
-	m.head = 0
-	m.full = false
+	m.win.Reset()
 	m.sum = 0
 }
 
@@ -92,6 +74,21 @@ func (m *MA) Name() string { return m.name }
 
 // Order returns n.
 func (m *MA) Order() int { return m.n }
+
+// AppendState implements Stateful: the running sum (kept as accumulated,
+// since re-summing the window would differ in the last bits), then the
+// window.
+func (m *MA) AppendState(dst []float64) []float64 {
+	return m.win.AppendState(append(dst, m.sum))
+}
+
+// LoadState implements Stateful.
+func (m *MA) LoadState(src []float64) ([]float64, error) {
+	d := stateDecoder{src: src}
+	m.sum = d.float()
+	d.ring(&m.win, false)
+	return d.result()
+}
 
 // EWMA is the exponentially weighted moving average predictor (paper
 // §5.1.2): X̂_{i+1} = α·X_i + (1-α)·X̂_i.
@@ -130,6 +127,23 @@ func (e *EWMA) Reset() { e.seen = false; e.pred = 0 }
 
 // Name implements HB.
 func (e *EWMA) Name() string { return e.name }
+
+// AppendState implements Stateful: the standing forecast and whether any
+// sample was seen.
+func (e *EWMA) AppendState(dst []float64) []float64 {
+	if e.seen {
+		return append(dst, e.pred, 1)
+	}
+	return append(dst, e.pred, 0)
+}
+
+// LoadState implements Stateful.
+func (e *EWMA) LoadState(src []float64) ([]float64, error) {
+	d := stateDecoder{src: src}
+	e.pred = d.float()
+	e.seen = d.count(1) == 1
+	return d.result()
+}
 
 // HoltWinters is the non-seasonal Holt-Winters predictor (paper §5.1.3),
 // maintaining a smoothing component X̂ˢ and a trend component X̂ᵗ:
@@ -194,6 +208,20 @@ func (h *HoltWinters) Reset() { h.s, h.t, h.x0, h.n = 0, 0, 0, 0 }
 
 // Name implements HB.
 func (h *HoltWinters) Name() string { return h.name }
+
+// AppendState implements Stateful: the smoothing and trend components,
+// the first sample and the sample count.
+func (h *HoltWinters) AppendState(dst []float64) []float64 {
+	return append(dst, h.s, h.t, h.x0, float64(h.n))
+}
+
+// LoadState implements Stateful.
+func (h *HoltWinters) LoadState(src []float64) ([]float64, error) {
+	d := stateDecoder{src: src}
+	h.s, h.t, h.x0 = d.float(), d.float(), d.float()
+	h.n = d.count(maxCount)
+	return d.result()
+}
 
 // paramString renders a smoothing parameter for a predictor name using the
 // shortest exact decimal representation ("0.8", "0.25").

@@ -103,6 +103,31 @@ func (l *LSO) Reset() {
 // History returns the retained raw sample count (for tests).
 func (l *LSO) History() int { return len(l.history) }
 
+// AppendState implements Stateful: the shift count and the raw window,
+// then the inner predictor's state. Everything else (order statistics,
+// outlier mask, clean series, outlier count) is a function of the window
+// and is recomputed on load.
+func (l *LSO) AppendState(dst []float64) []float64 {
+	dst = append(dst, float64(l.Shifts), float64(len(l.history)))
+	dst = append(dst, l.history...)
+	return appendInner(dst, l.inner)
+}
+
+// LoadState implements Stateful.
+func (l *LSO) LoadState(src []float64) ([]float64, error) {
+	d := stateDecoder{src: src}
+	l.Shifts = d.count(maxCount)
+	l.history = append(l.history[:0], d.floats(d.count(l.cfg.MaxHistory))...)
+	d.inner(l.inner)
+	if d.err == nil {
+		l.rebuildSorted()
+		l.computeClean()
+		l.Outliers = countTrue(l.mask)
+		l.lastClean = append(l.lastClean[:0], l.clean...)
+	}
+	return d.result()
+}
+
 // Observe implements HB.
 func (l *LSO) Observe(x float64) {
 	if cap(l.history) < l.cfg.MaxHistory {
@@ -375,39 +400,6 @@ func relDiff(a, b float64) float64 {
 		d = -d
 	}
 	return d / lo
-}
-
-func medianOf(xs []float64) float64 {
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 func countTrue(mask []bool) int {

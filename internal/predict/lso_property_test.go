@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -209,4 +210,37 @@ func TestLSOObserveSteadyStateAllocs(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("steady-state Observe allocates %.2f allocs/op, want 0", avg)
 	}
+}
+
+func medianOf(xs []float64) float64 {
+	tmp := append([]float64(nil), xs...)
+	sort.Float64s(tmp)
+	n := len(tmp)
+	if n == 0 {
+		return 0
+	}
+	if n%2 == 1 {
+		return tmp[n/2]
+	}
+	return (tmp[n/2-1] + tmp[n/2]) / 2
+}
+
+func minOf(xs []float64) float64 {
+	m := xs[0]
+	for _, v := range xs[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
+}
+
+func maxOf(xs []float64) float64 {
+	m := xs[0]
+	for _, v := range xs[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }

@@ -40,9 +40,7 @@ const residualMinSamples = 3
 // The scratch slice used to sort errors is retained across calls, so
 // Score and QuantilesFor allocate nothing in steady state.
 type ResidualWindow struct {
-	buf     []float64
-	next    int
-	full    bool
+	win     Ring
 	clamp   float64
 	scratch []float64
 }
@@ -58,7 +56,7 @@ func NewResidualWindow(n int, clamp float64) *ResidualWindow {
 		clamp = 10
 	}
 	return &ResidualWindow{
-		buf:     make([]float64, 0, n),
+		win:     MakeRing(n),
 		clamp:   clamp,
 		scratch: make([]float64, 0, n),
 	}
@@ -94,45 +92,23 @@ func (w *ResidualWindow) Push(e float64) {
 	} else if e < -w.clamp {
 		e = -w.clamp
 	}
-	if !w.full && len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, e)
-		if len(w.buf) == cap(w.buf) {
-			w.full = true
-			w.next = 0
-		}
-		return
-	}
-	w.buf[w.next] = e
-	w.next = (w.next + 1) % len(w.buf)
+	w.win.Push(e)
 }
 
 // Count returns the number of retained errors.
-func (w *ResidualWindow) Count() int { return len(w.buf) }
+func (w *ResidualWindow) Count() int { return w.win.Len() }
 
 // Reset discards all retained errors.
-func (w *ResidualWindow) Reset() {
-	w.buf = w.buf[:0]
-	w.next = 0
-	w.full = false
-}
+func (w *ResidualWindow) Reset() { w.win.Reset() }
 
 // Errors returns the retained errors oldest-first, appended to dst.
-func (w *ResidualWindow) Errors(dst []float64) []float64 {
-	if w.full {
-		dst = append(dst, w.buf[w.next:]...)
-		return append(dst, w.buf[:w.next]...)
-	}
-	return append(dst, w.buf...)
-}
+func (w *ResidualWindow) Errors(dst []float64) []float64 { return w.win.AppendTo(dst) }
 
 // SetErrors replaces the window contents with errs (oldest-first),
 // keeping at most the window capacity (the most recent entries win).
 func (w *ResidualWindow) SetErrors(errs []float64) {
 	w.Reset()
-	if n := cap(w.buf); len(errs) > n {
-		errs = errs[len(errs)-n:]
-	}
-	for _, e := range errs {
+	for _, e := range errs[max(len(errs)-w.win.Cap(), 0):] {
 		w.Push(e)
 	}
 }
@@ -144,7 +120,7 @@ func (w *ResidualWindow) SetErrors(errs []float64) {
 func (w *ResidualWindow) QuantilesFor(forecast float64) (Quantiles, bool) {
 	var q Quantiles
 	var ok bool
-	q, ok, w.scratch = QuantilesForErrors(forecast, w.buf, w.scratch)
+	q, ok, w.scratch = QuantilesForErrors(forecast, w.win.Unordered(), w.scratch)
 	return q, ok
 }
 

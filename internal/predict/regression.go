@@ -1,6 +1,9 @@
 package predict
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // regDim is the fixed feature dimension of the Regression predictor:
 // [1, last-X, mean of last-K X, avail-bw, window-limit, Mathis-rate],
@@ -59,9 +62,7 @@ type Regression struct {
 	b [regDim]float64
 	n uint64
 
-	hist     []float64 // ring of the last K observations, raw bps
-	histNext int
-	histFull bool
+	hist Ring // the last K observations, raw bps
 
 	feat    FBInputs
 	hasFeat bool
@@ -74,7 +75,7 @@ type Regression struct {
 // NewRegression returns an online least-squares predictor.
 func NewRegression(cfg RegressionConfig) *Regression {
 	cfg = cfg.defaults()
-	return &Regression{cfg: cfg, hist: make([]float64, 0, cfg.LastK)}
+	return &Regression{cfg: cfg, hist: MakeRing(cfg.LastK)}
 }
 
 // Name implements HB.
@@ -87,10 +88,6 @@ func (r *Regression) SetFeatures(in FBInputs) {
 	r.feat = in
 	r.hasFeat = true
 }
-
-// ClearFeatures drops the standing conditioning measurements (e.g. when
-// the serving layer deems them stale).
-func (r *Regression) ClearFeatures() { r.hasFeat = false }
 
 // Observe implements HB.
 func (r *Regression) Observe(x float64) {
@@ -110,7 +107,7 @@ func (r *Regression) Observe(x float64) {
 		r.b[i] = beta*r.b[i] + z[i]*y
 	}
 	r.n++
-	r.histPush(x)
+	r.hist.Push(x)
 }
 
 // Predict implements HB.
@@ -139,67 +136,37 @@ func (r *Regression) Reset() {
 	r.a = [regDim * (regDim + 1) / 2]float64{}
 	r.b = [regDim]float64{}
 	r.n = 0
-	r.hist = r.hist[:0]
-	r.histNext = 0
-	r.histFull = false
+	r.hist.Reset()
 	r.hasFeat = false
 }
 
-// RegressionState is the JSON-serializable snapshot of a Regression
-// predictor's decayed normal equations and history ring.
-type RegressionState struct {
-	A    []float64 `json:"a"` // upper triangle of the normal matrix
-	B    []float64 `json:"b"`
-	N    uint64    `json:"n"`
-	Hist []float64 `json:"hist,omitempty"` // oldest-first recent throughputs, bps
+// AppendState implements Stateful: the decayed normal equations (the
+// upper triangle of A, then b), the observation count, and the history
+// ring. Pending features are not state: the serving layer re-derives
+// them from its standing measurements.
+func (r *Regression) AppendState(dst []float64) []float64 {
+	dst = append(dst, r.a[:]...)
+	dst = append(dst, r.b[:]...)
+	dst = append(dst, float64(r.n))
+	return r.hist.AppendState(dst)
 }
 
-// State captures the predictor for a snapshot. Pending features are not
-// part of the state: the serving layer re-derives them from the
-// snapshot's FB inputs on restore.
-func (r *Regression) State() RegressionState {
-	st := RegressionState{
-		A: append([]float64(nil), r.a[:]...),
-		B: append([]float64(nil), r.b[:]...),
-		N: r.n,
-	}
-	st.Hist = r.histChronological(nil)
-	return st
-}
-
-// SetState restores a snapshot produced by State, overwriting all
-// learned state. Snapshots from a different feature dimension are
-// ignored (the predictor keeps its replay-trained state instead).
-func (r *Regression) SetState(st RegressionState) {
-	if len(st.A) != len(r.a) || len(st.B) != regDim {
-		return
-	}
-	copy(r.a[:], st.A)
-	copy(r.b[:], st.B)
-	r.n = st.N
-	r.hist = r.hist[:0]
-	r.histNext = 0
-	r.histFull = false
-	for _, v := range st.Hist {
-		if isFinitePositive(v) {
-			r.histPush(v)
-		}
-	}
+// LoadState implements Stateful. History samples must be positive.
+func (r *Regression) LoadState(src []float64) ([]float64, error) {
+	d := stateDecoder{src: src}
+	copy(r.a[:], d.floats(len(r.a)))
+	copy(r.b[:], d.floats(len(r.b)))
+	r.n = uint64(d.count(maxCount))
+	d.ring(&r.hist, true)
+	return d.result()
 }
 
 // features fills z with the current feature vector in Mbps.
 func (r *Regression) features(z *[regDim]float64) {
 	const featCap = 1e4 // 10 Gbps cap keeps rate features bounded
 	z[0] = 1
-	if n := len(r.hist); n > 0 {
-		last := r.histNext - 1
-		if last < 0 {
-			last = n - 1
-		}
-		if !r.histFull {
-			last = n - 1
-		}
-		z[1] = r.hist[last] / 1e6
+	if r.hist.Len() > 0 {
+		z[1] = r.hist.Last() / 1e6
 		z[2] = r.histMean()
 	}
 	if r.hasFeat {
@@ -226,68 +193,26 @@ func (r *Regression) features(z *[regDim]float64) {
 	}
 }
 
-func (r *Regression) histPush(x float64) {
-	if !r.histFull && len(r.hist) < cap(r.hist) {
-		r.hist = append(r.hist, x)
-		if len(r.hist) == cap(r.hist) {
-			r.histFull = true
-			r.histNext = 0
-		}
-		return
-	}
-	r.hist[r.histNext] = x
-	r.histNext = (r.histNext + 1) % len(r.hist)
-}
-
-// histMean returns the mean of the history ring in Mbps (0 when empty).
-// The sum runs in chronological order, not ring-storage order: float
-// addition is not associative, and a snapshot-restored ring is compacted
-// while a live one is rotated — summing both the same way keeps restored
-// predictions bit-identical to the live session's.
+// histMean returns the mean of the history ring in Mbps (0 when empty),
+// summed oldest first (see Ring).
 func (r *Regression) histMean() float64 {
-	if len(r.hist) == 0 {
+	n := r.hist.Len()
+	if n == 0 {
 		return 0
 	}
 	var sum float64
-	if r.histFull {
-		for _, v := range r.hist[r.histNext:] {
-			sum += v
-		}
-		for _, v := range r.hist[:r.histNext] {
-			sum += v
-		}
-	} else {
-		for _, v := range r.hist {
-			sum += v
-		}
-	}
-	return sum / float64(len(r.hist)) / 1e6
+	r.hist.Do(func(v float64) { sum += v })
+	return sum / float64(n) / 1e6
 }
 
 // histBand returns the clamp band [min/16, max·16] around the observed
 // history in bps, or a wide default before any observation.
 func (r *Regression) histBand() (lo, hi float64) {
-	if len(r.hist) == 0 {
+	h := r.hist.Unordered()
+	if len(h) == 0 {
 		return 1, 1e12
 	}
-	lo, hi = r.hist[0], r.hist[0]
-	for _, v := range r.hist[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo / 16, hi * 16
-}
-
-func (r *Regression) histChronological(dst []float64) []float64 {
-	if r.histFull {
-		dst = append(dst, r.hist[r.histNext:]...)
-		return append(dst, r.hist[:r.histNext]...)
-	}
-	return append(dst, r.hist...)
+	return slices.Min(h) / 16, slices.Max(h) * 16
 }
 
 // solveDot solves (A + λI)w = b by Cholesky factorization and returns

@@ -31,18 +31,12 @@ func (c SwitcherConfig) defaults() SwitcherConfig {
 // threshold, `volatile` once it exceeds it. The typical pairing is a
 // reactive tracker (EWMA/HW) for stable regimes and a robust smoother
 // (wide MA) for volatile ones.
-//
-// All state is a bounded function of the recent observation history, so
-// the serving layer restores a switcher exactly by replaying its
-// retained history — nothing needs separate serialization.
 type StabilitySwitcher struct {
 	cfg      SwitcherConfig
 	stable   HB
 	volatile HB
 
-	ring []float64
-	next int
-	full bool
+	ring Ring // the stability window
 }
 
 // NewStabilitySwitcher wraps the two inner predictors.
@@ -52,7 +46,7 @@ func NewStabilitySwitcher(stable, volatile HB, cfg SwitcherConfig) *StabilitySwi
 		cfg:      cfg,
 		stable:   stable,
 		volatile: volatile,
-		ring:     make([]float64, 0, cfg.Window),
+		ring:     MakeRing(cfg.Window),
 	}
 }
 
@@ -70,38 +64,22 @@ func (s *StabilitySwitcher) Volatile() bool {
 // order so a restored (compacted) ring and a live (rotated) ring with the
 // same contents produce bit-identical statistics.
 func (s *StabilitySwitcher) cov() float64 {
-	n := len(s.ring)
+	n := s.ring.Len()
 	if n < 2 {
 		return 0
 	}
 	var sum float64
-	s.forEachChrono(func(v float64) { sum += v })
+	s.ring.Do(func(v float64) { sum += v })
 	mean := sum / float64(n)
 	if mean <= 0 {
 		return 0
 	}
 	var ss float64
-	s.forEachChrono(func(v float64) {
+	s.ring.Do(func(v float64) {
 		d := v - mean
 		ss += d * d
 	})
 	return math.Sqrt(ss/float64(n)) / mean
-}
-
-// forEachChrono visits the retained window oldest first.
-func (s *StabilitySwitcher) forEachChrono(fn func(float64)) {
-	if s.full {
-		for _, v := range s.ring[s.next:] {
-			fn(v)
-		}
-		for _, v := range s.ring[:s.next] {
-			fn(v)
-		}
-		return
-	}
-	for _, v := range s.ring {
-		fn(v)
-	}
 }
 
 // Predict implements HB: delegate to the regime's predictor, falling
@@ -119,25 +97,31 @@ func (s *StabilitySwitcher) Predict() (float64, bool) {
 
 // Observe implements HB.
 func (s *StabilitySwitcher) Observe(x float64) {
-	if !s.full && len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, x)
-		if len(s.ring) == cap(s.ring) {
-			s.full = true
-			s.next = 0
-		}
-	} else {
-		s.ring[s.next] = x
-		s.next = (s.next + 1) % len(s.ring)
-	}
+	s.ring.Push(x)
 	s.stable.Observe(x)
 	s.volatile.Observe(x)
 }
 
 // Reset implements HB.
 func (s *StabilitySwitcher) Reset() {
-	s.ring = s.ring[:0]
-	s.next = 0
-	s.full = false
+	s.ring.Reset()
 	s.stable.Reset()
 	s.volatile.Reset()
+}
+
+// AppendState implements Stateful: the stability window, then the stable
+// and volatile predictors' states.
+func (s *StabilitySwitcher) AppendState(dst []float64) []float64 {
+	dst = s.ring.AppendState(dst)
+	dst = appendInner(dst, s.stable)
+	return appendInner(dst, s.volatile)
+}
+
+// LoadState implements Stateful.
+func (s *StabilitySwitcher) LoadState(src []float64) ([]float64, error) {
+	d := stateDecoder{src: src}
+	d.ring(&s.ring, false)
+	d.inner(s.stable)
+	d.inner(s.volatile)
+	return d.result()
 }

@@ -180,17 +180,18 @@ func TestRegressionStateRoundTrip(t *testing.T) {
 		reg.SetFeatures(FBInputs{RTT: 0.04, LossRate: 0.01, AvailBw: 20e6})
 		reg.Observe(8e6 * (1 + 0.2*rng.Float64()))
 	}
-	st := reg.State()
-	raw, err := json.Marshal(st)
+	raw, err := json.Marshal(reg.AppendState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st2 RegressionState
-	if err := json.Unmarshal(raw, &st2); err != nil {
+	var st []float64
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	reg2 := NewRegression(RegressionConfig{})
-	reg2.SetState(st2)
+	if rest, err := reg2.LoadState(st); err != nil || len(rest) != 0 {
+		t.Fatalf("LoadState: rest %v, err %v", rest, err)
+	}
 	reg2.SetFeatures(FBInputs{RTT: 0.04, LossRate: 0.01, AvailBw: 20e6})
 	reg.SetFeatures(FBInputs{RTT: 0.04, LossRate: 0.01, AvailBw: 20e6})
 	f1, ok1 := reg.Predict()
@@ -275,17 +276,18 @@ func TestECMStateRoundTrip(t *testing.T) {
 		e.SetConditions(c)
 		e.Observe(1e6 * (1 + 40*rng.Float64()))
 	}
-	st := e.State()
-	raw, err := json.Marshal(st)
+	raw, err := json.Marshal(e.AppendState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st2 ECMState
-	if err := json.Unmarshal(raw, &st2); err != nil {
+	var st []float64
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	e2 := NewECM(ECMConfig{})
-	e2.SetState(st2)
+	if rest, err := e2.LoadState(st); err != nil || len(rest) != 0 {
+		t.Fatalf("LoadState: rest %v, err %v", rest, err)
+	}
 	for _, c := range conds {
 		e.SetConditions(c)
 		e2.SetConditions(c)

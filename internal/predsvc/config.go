@@ -60,9 +60,6 @@ type Config struct {
 	// MinErrors is how many errors a predictor needs before it competes
 	// for "best predictor" (default 3).
 	MinErrors int
-	// HistoryLimit is the number of raw observations retained per path
-	// for snapshot/restore (default 128).
-	HistoryLimit int
 
 	// MAOrder is the moving-average order (default 10, the paper's
 	// sweet spot for stationary paths).
@@ -172,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinErrors <= 0 {
 		c.MinErrors = 3
-	}
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 128
 	}
 	if c.MAOrder <= 0 {
 		c.MAOrder = 10

@@ -41,7 +41,7 @@ import (
 // HandoffRecord is one line of the session-handoff NDJSON stream: either
 // a session record (Path/Observations/State/Sum) or the final trailer
 // (Trailer/Count/Sum). State is the session's PathSnapshot JSON — the
-// same snapshot-v2 codec the registry snapshot and the spill log use —
+// same exact-state codec the registry snapshot and the spill log use —
 // and Sum its sha256. The trailer's Sum chains the record checksums in
 // stream order, so a truncated or reordered stream is detected before
 // the importer trusts it.
@@ -225,12 +225,16 @@ func (r *Server) handleSessionsImport(w http.ResponseWriter, req *http.Request) 
 		if ps.Path != rec.Path {
 			return writeError(w, http.StatusBadRequest, "handoff record %d: path %q carries state for %q", seen, rec.Path, ps.Path)
 		}
+		sess, err := decodeSession(rec.Path, r.cfg, ps)
+		if err != nil {
+			return writeError(w, http.StatusBadRequest, "handoff record %d (%s): invalid state: %v", seen, rec.Path, err)
+		}
 		if existing, ok := r.reg.Peek(rec.Path); ok && existing.Observations() >= rec.Observations {
 			resp.Skipped++
 			r.metrics.handoffSkipped.Add(1)
 			continue
 		}
-		r.reg.Install(ps)
+		r.reg.install(sess)
 		resp.Imported++
 		r.metrics.handoffImported.Add(1)
 	}

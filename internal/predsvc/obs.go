@@ -2,7 +2,6 @@ package predsvc
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -229,11 +228,7 @@ func (s *Session) familyRMSRE(i int) (float64, bool) {
 	if i >= len(s.families) {
 		return 0, false
 	}
-	w := s.families[i].err
-	if w.count() == 0 {
-		return 0, false
-	}
-	return w.rmsre(s.cfg.ErrClamp)
+	return s.families[i].err.rmsre(s.cfg.ErrClamp)
 }
 
 // familyRegret returns family i's rolling regret — its mean |E| minus
@@ -242,31 +237,21 @@ func (s *Session) familyRMSRE(i int) (float64, bool) {
 func (s *Session) familyRegret(i int) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i >= len(s.families) || s.families[i].err.count() == 0 {
+	if i >= len(s.families) || s.families[i].err.Len() == 0 {
 		return 0, false
 	}
-	minMean := math.Inf(1)
-	for _, f := range s.families {
-		if f.err.count() == 0 {
-			continue
-		}
-		if m := f.err.meanAbs(); m < minMean {
-			minMean = m
-		}
-	}
-	return s.families[i].err.meanAbs() - minMean, true
+	return s.families[i].err.meanAbs() - s.minMeanAbsLocked(), true
 }
 
-// lsoStats sums level-shift and outlier detections over the session's
-// LSO-wrapped ensemble members (zero when LSO is disabled).
+// lsoStats reports the session's LSO detections (zero when LSO is
+// disabled). The ensemble members are LSO-wrapped with one config over
+// one series, so they screen identically: one screen is counted, not
+// each member's copy of it.
 func (s *Session) lsoStats() (shifts, outliers int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, f := range s.hbFamilies() {
-		if l, ok := f.hb.(*predict.LSO); ok {
-			shifts += l.Shifts
-			outliers += l.Outliers
-		}
+	if l, ok := s.families[0].hb.(*predict.LSO); ok {
+		return l.Shifts, l.Outliers
 	}
-	return
+	return 0, 0
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sort"
 
+	"repro/internal/predict"
 	"repro/internal/predsvc/store"
 )
 
@@ -66,22 +67,23 @@ func memConfig(cfg Config) store.MemConfig {
 }
 
 // sessionCodec serializes sessions across the hot/cold boundary as their
-// JSON PathSnapshot — the same replayable state the registry snapshot
-// persists, with the same documented approximation (EWMA/Holt-Winters
-// influence beyond HistoryLimit observations is dropped on fault-in).
+// JSON PathSnapshot — the same exact state the registry snapshot
+// persists, so a fault-in continues exactly where the spill left off.
+// The spill store encodes only on eviction, so Encode also retires the
+// session (see Session.evict). A record whose state does not validate
+// fails Decode, which the spill store counts as an error before
+// recreating the session fresh.
 func sessionCodec(cfg Config) store.Codec {
 	return store.Codec{
 		Encode: func(e store.Entry) ([]byte, error) {
-			return json.Marshal(e.(*Session).snapshot())
+			return json.Marshal(e.(*Session).evict())
 		},
 		Decode: func(path string, data []byte) (store.Entry, error) {
 			var ps PathSnapshot
 			if err := json.Unmarshal(data, &ps); err != nil {
 				return nil, err
 			}
-			s := newSession(path, cfg)
-			s.restore(ps)
-			return s, nil
+			return decodeSession(path, cfg, ps)
 		},
 	}
 }
@@ -127,6 +129,40 @@ func (r *Registry) GetOrCreateBytes(path []byte) *Session {
 	return r.st.GetOrCreate(string(path)).(*Session)
 }
 
+// update runs fn on path's session with its lock held, creating the
+// session if absent. A handler holds a session outside the store's lock,
+// so on a spill store a concurrent request may evict it between the
+// lookup and the lock. An evicted copy is never updated — the update
+// would be lost with it — and the lookup is retried, faulting the
+// spilled state back in.
+func (r *Registry) update(path []byte, fn func(*Session)) {
+	for {
+		s := r.GetOrCreateBytes(path)
+		s.mu.Lock()
+		live := !s.evicted
+		if live {
+			fn(s)
+		}
+		s.mu.Unlock()
+		if live {
+			return
+		}
+	}
+}
+
+// observe feeds one observation to path's session (see Session.Observe).
+func (r *Registry) observe(path []byte, x float64) (n uint64) {
+	r.update(path, func(s *Session) { n = s.absorbLocked(x) })
+	return n
+}
+
+// setMeasurement installs valid measurements on path's session (see
+// Session.SetMeasurement).
+func (r *Registry) setMeasurement(path []byte, in predict.FBInputs) (f float64) {
+	r.update(path, func(s *Session) { f = s.measureLocked(in) })
+	return f
+}
+
 // LookupBytes is Lookup keyed by a byte-slice view of the path; see
 // GetOrCreateBytes.
 func (r *Registry) LookupBytes(path []byte) (*Session, bool) {
@@ -162,13 +198,11 @@ func (r *Registry) Peek(path string) (*Session, bool) {
 // forgotten here (the importing node owns the authoritative copy).
 func (r *Registry) Delete(path string) bool { return r.st.Delete(path) }
 
-// Install replaces path's session with one rebuilt from ps — the import
-// side of shard handoff. The previous session (if any) is deleted first;
-// restore never merges, so a retried import lands in the same state.
-func (r *Registry) Install(ps PathSnapshot) {
-	r.st.Delete(ps.Path)
-	s := r.st.GetOrCreate(ps.Path).(*Session)
-	s.restore(ps)
+// install gives src's path the state of src (built by decodeSession
+// from this registry's config), replacing any resident state wholesale:
+// nothing is merged, so a retried handoff import lands in the same state.
+func (r *Registry) install(src *Session) {
+	r.update([]byte(src.path), func(s *Session) { s.sessionState = src.sessionState })
 }
 
 // Len returns the number of registered paths across all tiers.

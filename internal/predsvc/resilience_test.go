@@ -157,8 +157,8 @@ func TestEndToEndChaos(t *testing.T) {
 
 // TestCorruptSnapshotQuarantine: a corrupt snapshot at boot is moved to
 // "<path>.corrupt-<n>" and the daemon starts empty; successive corruptions
-// get successive quarantine names; a healthy legacy (pre-checksum) file
-// still restores.
+// get successive quarantine names; a file without the checksum trailer
+// (the pre-checksum format) is quarantined like any other corruption.
 func TestCorruptSnapshotQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	snapPath := dir + "/snap.json"
@@ -203,7 +203,7 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 		t.Fatalf("second quarantine = %+v, %v; want .corrupt-2", st2, err)
 	}
 
-	// Legacy format: bare JSON without a checksum trailer restores fine.
+	// Pre-checksum format: bare JSON without a trailer is corrupt too.
 	raw, err := json.Marshal(seed.Registry().Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +212,8 @@ func TestCorruptSnapshotQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	st3, err := NewServer(Config{}).RestoreSnapshot(snapPath)
-	if err != nil || st3.Quarantined != "" || st3.Paths != 2 {
-		t.Fatalf("legacy restore = %+v, %v; want 2 paths, no quarantine", st3, err)
+	if err != nil || st3.Quarantined != snapPath+".corrupt-3" || st3.Paths != 0 {
+		t.Fatalf("trailerless restore = %+v, %v; want 0 paths, quarantine to .corrupt-3", st3, err)
 	}
 
 	// Missing file stays a non-event.

@@ -403,19 +403,22 @@ type RestoreStats struct {
 }
 
 // RestoreSnapshot loads a snapshot file into the registry. A missing file
-// is not an error. A corrupt file (bad checksum, unparseable, wrong
-// version) is quarantined to "<path>.corrupt-<n>" and reported in the
-// returned stats — the daemon boots with an empty registry instead of
-// dying on state it can regrow from live traffic. Only real I/O failures
-// (unreadable file, failed quarantine rename) return an error.
+// is not an error. A corrupt file (missing or bad checksum, unparseable,
+// wrong version, state that does not validate) is quarantined to
+// "<path>.corrupt-<n>" and reported in the returned stats — the daemon
+// boots with an empty registry instead of dying on state it can regrow
+// from live traffic. Only real I/O failures (unreadable file, failed
+// quarantine rename) return an error.
 func (r *Server) RestoreSnapshot(path string) (RestoreStats, error) {
 	r.notReady.Store(true)
 	defer r.notReady.Store(false)
 	var st RestoreStats
 	snap, err := ReadSnapshotFile(path)
+	if err == nil {
+		st.Paths, err = r.reg.Restore(snap)
+	}
 	switch {
-	case err == nil:
-	case errors.Is(err, fs.ErrNotExist):
+	case err == nil, errors.Is(err, fs.ErrNotExist):
 		return st, nil
 	case errors.Is(err, ErrCorruptSnapshot):
 		q, qerr := Quarantine(path)
@@ -427,8 +430,6 @@ func (r *Server) RestoreSnapshot(path string) (RestoreStats, error) {
 	default:
 		return st, err
 	}
-	st.Paths, err = r.reg.Restore(snap)
-	return st, err
 }
 
 // apiError is the JSON error body.
@@ -554,7 +555,7 @@ func (r *Server) handleObserve(w http.ResponseWriter, req *http.Request) int {
 		r.metrics.rejectedInputs.Add(1)
 		return writeError(w, http.StatusBadRequest, "throughput_bps must be finite and positive")
 	}
-	n := r.reg.GetOrCreate(body.Path).Observe(body.ThroughputBps)
+	n := r.reg.observe([]byte(body.Path), body.ThroughputBps)
 	r.metrics.observations.Add(1)
 	return writeJSON(w, http.StatusOK, ObserveResponse{Path: body.Path, Observations: n})
 }
@@ -590,7 +591,7 @@ func (r *Server) handleMeasure(w http.ResponseWriter, req *http.Request) int {
 		r.metrics.rejectedInputs.Add(1)
 		return writeError(w, http.StatusBadRequest, "measurements must be finite and in range")
 	}
-	f := r.reg.GetOrCreate(body.Path).SetMeasurement(in)
+	f := r.reg.setMeasurement([]byte(body.Path), in)
 	return writeJSON(w, http.StatusOK, MeasureResponse{Path: body.Path, ForecastBps: f})
 }
 
@@ -715,7 +716,7 @@ func (r *Server) handleObserveBatch(w http.ResponseWriter, req *http.Request) in
 			resp.Rejected++
 			continue
 		}
-		r.reg.GetOrCreate(ob.Path).Observe(ob.ThroughputBps)
+		r.reg.observe([]byte(ob.Path), ob.ThroughputBps)
 		r.metrics.observations.Add(1)
 		resp.Accepted++
 	}

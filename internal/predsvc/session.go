@@ -1,6 +1,7 @@
 package predsvc
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -28,7 +29,17 @@ type Session struct {
 	mu   sync.Mutex
 	path string
 	cfg  Config
+	// evicted is set once a spill store has serialized the session on
+	// eviction: updates to this copy would be lost, so Registry.update
+	// applies them to the faulted-in copy instead.
+	evicted bool
+	sessionState
+}
 
+// sessionState is everything a session learns from traffic — exactly
+// what its snapshot carries — kept apart from its identity and config so
+// a decoded state can replace a live session's in one assignment.
+type sessionState struct {
 	// families is the zoo in serving order: the three HB ensemble
 	// members first (they also populate Prediction.HB), then the
 	// switcher, FB, regression and ECM families.
@@ -51,20 +62,17 @@ type Session struct {
 	covIn, covTotal uint64
 
 	observations uint64
-	history      []float64 // recent raw observations, for snapshot/restore
 
 	qscratch []float64 // sort scratch for quantile derivation
 }
 
-// familyKind distinguishes how a family forecasts and serializes.
+// familyKind distinguishes how a family forecasts.
 type familyKind int
 
 const (
-	famHB familyKind = iota // paper HB ensemble member (also in Prediction.HB)
-	famSwitcher
-	famFB // formula-based; forecast depends on standing measurements
-	famRegression
-	famECM
+	famHB  familyKind = iota // forecasts from its history-based predictor
+	famFB                    // formula-based; forecast depends on standing measurements
+	famECM                   // like famHB, with native quantiles
 )
 
 // family is one tournament entrant: a named predictor plus its rolling
@@ -74,7 +82,7 @@ type family struct {
 	name string
 	kind familyKind
 	hb   predict.HB
-	err  *errWindow
+	err  errWindow
 }
 
 func newSession(path string, cfg Config) *Session {
@@ -84,13 +92,11 @@ func newSession(path string, cfg Config) *Session {
 		}
 		return predict.NewLSO(p, cfg.LSO)
 	}
-	s := &Session{
-		path: path,
-		cfg:  cfg,
-		fb:   predict.NewFB(cfg.FB),
-		reg:  predict.NewRegression(cfg.Regression),
-		ecm:  predict.NewECM(cfg.ECM),
-	}
+	s := &Session{path: path, cfg: cfg, sessionState: sessionState{
+		fb:  predict.NewFB(cfg.FB),
+		reg: predict.NewRegression(cfg.Regression),
+		ecm: predict.NewECM(cfg.ECM),
+	}}
 	add := func(kind familyKind, hb predict.HB, name string) {
 		if name == "" {
 			name = hb.Name()
@@ -99,7 +105,7 @@ func newSession(path string, cfg Config) *Session {
 			name: name,
 			kind: kind,
 			hb:   hb,
-			err:  newErrWindow(cfg.ErrorWindow),
+			err:  errWindow{predict.MakeRing(cfg.ErrorWindow)},
 		})
 	}
 	add(famHB, wrap(predict.NewMA(cfg.MAOrder)), "")
@@ -110,11 +116,11 @@ func newSession(path string, cfg Config) *Session {
 		// robust smoother once the rolling CoV flags volatility.
 		sw := predict.NewStabilitySwitcher(
 			predict.NewEWMA(cfg.EWMAAlpha), predict.NewMA(cfg.MAOrder), cfg.Switcher)
-		add(famSwitcher, sw, "")
+		add(famHB, sw, "")
 	}
 	add(famFB, nil, "FB")
 	if !cfg.DisableZoo {
-		add(famRegression, s.reg, "")
+		add(famHB, s.reg, "")
 		add(famECM, s.ecm, "")
 	}
 	return s
@@ -176,10 +182,14 @@ func ValidMeasurement(in predict.FBInputs) bool {
 func (s *Session) Observe(throughputBps float64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !ValidObservation(throughputBps) {
-		return s.observations
+	return s.absorbLocked(throughputBps)
+}
+
+// absorbLocked is Observe with s.mu held.
+func (s *Session) absorbLocked(x float64) uint64 {
+	if ValidObservation(x) {
+		s.observeLocked(x)
 	}
-	s.observeLocked(throughputBps)
 	return s.observations
 }
 
@@ -196,7 +206,7 @@ func (s *Session) observeLocked(x float64) {
 	}
 	for _, f := range s.families {
 		if fc, ok := s.forecastLocked(f); ok && fc > 0 {
-			f.err.push(s.clampErr(stats.RelativeError(fc, x)))
+			f.err.Push(s.clampErr(stats.RelativeError(fc, x)))
 		}
 	}
 	for _, f := range s.families {
@@ -205,11 +215,6 @@ func (s *Session) observeLocked(x float64) {
 		}
 	}
 	s.observations++
-	s.history = append(s.history, x)
-	if len(s.history) >= 2*s.cfg.HistoryLimit {
-		keep := s.history[len(s.history)-s.cfg.HistoryLimit:]
-		s.history = append(s.history[:0], keep...)
-	}
 }
 
 // forecastLocked returns a family's standing forecast.
@@ -257,6 +262,11 @@ func (s *Session) SetMeasurement(in predict.FBInputs) float64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.measureLocked(in)
+}
+
+// measureLocked is SetMeasurement for valid inputs, with s.mu held.
+func (s *Session) measureLocked(in predict.FBInputs) float64 {
 	s.setMeasurementLocked(in)
 	s.fbSetAtObs = s.observations
 	return s.fb.Predict(in)
@@ -370,7 +380,7 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 		fc, ok := f.hb.Predict()
 		st := PredictorState{Name: f.name, Ready: ok, ForecastBps: fc}
 		st.RMSRE, _ = f.err.rmsre(s.cfg.ErrClamp)
-		st.ErrorCount = f.err.count()
+		st.ErrorCount = f.err.Len()
 		p.HB = append(p.HB, st)
 	}
 	if s.hasFB {
@@ -381,7 +391,7 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 			LossRate:       s.fbIn.LossRate,
 			AvailBwBps:     s.fbIn.AvailBw,
 			ForecastBps:    f,
-			ErrorCount:     s.fbFamily().err.count(),
+			ErrorCount:     s.fbFamily().err.Len(),
 			MeasurementAge: age,
 			Stale:          s.fbStaleLocked(),
 		}
@@ -392,20 +402,12 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 
 	// Tournament view: per-family states with quantiles and regret, then
 	// the selected family's interval at the top level.
-	minMean := math.Inf(1)
-	for _, f := range s.families {
-		if f.err.count() == 0 {
-			continue
-		}
-		if m := f.err.meanAbs(); m < minMean {
-			minMean = m
-		}
-	}
+	minMean := s.minMeanAbsLocked()
 	for _, f := range s.families {
 		fc, ok := s.forecastLocked(f)
 		st := FamilyState{Name: f.name, Ready: ok, ForecastBps: fc}
 		st.RMSRE, _ = f.err.rmsre(s.cfg.ErrClamp)
-		st.ErrorCount = f.err.count()
+		st.ErrorCount = f.err.Len()
 		if st.ErrorCount > 0 {
 			st.Regret = f.err.meanAbs() - minMean
 		}
@@ -425,6 +427,18 @@ func (s *Session) PredictInto(p *Prediction, fb *FBState) {
 	}
 }
 
+// minMeanAbsLocked returns the lowest mean |E| among the families that
+// have scored (+Inf when none has): the regret baseline.
+func (s *Session) minMeanAbsLocked() float64 {
+	minMean := math.Inf(1)
+	for _, f := range s.families {
+		if f.err.Len() > 0 {
+			minMean = min(minMean, f.err.meanAbs())
+		}
+	}
+	return minMean
+}
+
 // selectLocked runs the tournament: the qualified family (ready,
 // positive forecast, ≥ MinErrors scored errors, FB never while stale)
 // with the lowest rolling RMSRE, falling back to the first family with
@@ -438,7 +452,7 @@ func (s *Session) selectLocked() (*family, float64) {
 			continue
 		}
 		fc, ok := s.forecastLocked(f)
-		if !ok || fc <= 0 || f.err.count() < s.cfg.MinErrors {
+		if !ok || fc <= 0 || f.err.Len() < s.cfg.MinErrors {
 			continue
 		}
 		if r, rok := f.err.rmsre(s.cfg.ErrClamp); rok && r < bestR {
@@ -467,12 +481,12 @@ func (s *Session) quantilesLocked(f *family, forecast float64) (predict.Quantile
 	if f.kind == famECM {
 		return s.ecm.PredictQuantiles()
 	}
-	if f.err.count() < s.cfg.MinErrors {
+	if f.err.Len() < s.cfg.MinErrors {
 		return predict.Quantiles{}, false
 	}
 	var q predict.Quantiles
 	var ok bool
-	q, ok, s.qscratch = predict.QuantilesForErrors(forecast, f.err.buf, s.qscratch)
+	q, ok, s.qscratch = predict.QuantilesForErrors(forecast, f.err.Unordered(), s.qscratch)
 	return q, ok
 }
 
@@ -515,198 +529,117 @@ func (s *Session) bestLocked(p *Prediction) (string, float64) {
 	return "", 0
 }
 
-// snapshot captures the replayable state of the session.
+// snapshot captures the session's exact state: per family its error
+// window and predictor state, plus the session's own counters and
+// standing measurements.
 func (s *Session) snapshot() PathSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hist := s.history
-	if len(hist) > s.cfg.HistoryLimit {
-		hist = hist[len(hist)-s.cfg.HistoryLimit:]
-	}
+	return s.snapshotLocked()
+}
+
+// evict snapshots the session for the spill log and retires this copy,
+// so no update can land after the snapshot and be lost with it.
+func (s *Session) evict() PathSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.evicted = true
+	return s.snapshotLocked()
+}
+
+func (s *Session) snapshotLocked() PathSnapshot {
 	ps := PathSnapshot{
 		Path:         s.path,
 		Observations: s.observations,
-		History:      append([]float64(nil), hist...),
 		CovIn:        s.covIn,
 		CovTotal:     s.covTotal,
 	}
-	// Legacy (v1) mirror of the paper ensemble's windows, so pre-zoo
-	// consumers and diagnostics keep working unchanged.
-	for _, f := range s.hbFamilies() {
-		ps.HBErrors = append(ps.HBErrors, f.err.chronological())
-	}
-	ps.FBErrors = s.fbFamily().err.chronological()
-	// v2: the full tournament state, per family by name.
 	for _, f := range s.families {
-		fs := FamilySnapshot{Name: f.name, Errors: f.err.chronological()}
-		switch f.kind {
-		case famRegression:
-			st := s.reg.State()
-			fs.Regression = &st
-		case famECM:
-			st := s.ecm.State()
-			fs.ECM = &st
+		fs := FamilySnapshot{Name: f.name, Errors: f.err.AppendTo(nil)}
+		if st, ok := f.hb.(predict.Stateful); ok {
+			fs.State = st.AppendState(nil)
 		}
 		ps.Families = append(ps.Families, fs)
 	}
 	if s.hasFB {
-		ps.FBInputs = &FBInputsSnapshot{
-			RTTSeconds: s.fbIn.RTT,
-			LossRate:   s.fbIn.LossRate,
-			AvailBwBps: s.fbIn.AvailBw,
-		}
+		in := s.fbIn
+		ps.FBInputs = &in
 		ps.FBAge = s.observations - s.fbSetAtObs
 	}
 	return ps
 }
 
-// restore replays a snapshot into the session. Predictors with bounded
-// memory (MA, windowed LSO, the switcher) restore exactly when the
-// snapshot history covers their window; EWMA/HW restore approximately
-// (their infinite tail beyond HistoryLimit observations is dropped),
-// which the snapshot format documents as acceptable for a cache-like
-// registry. Regression and ECM state is replaced verbatim from the
-// snapshot when present (v2); restoring a legacy v1 snapshot leaves
-// them with replay-trained state — the documented approximation for
-// pre-zoo snapshots, whose error windows then fill from live traffic.
-func (s *Session) restore(ps PathSnapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Replay trains every history-driven predictor; conditioning features
-	// are not retained per epoch, so regression/ECM see none during
-	// replay (their v2 state overwrite below makes that moot).
-	for _, x := range ps.History {
-		s.observeLocked(x)
+// decodeSession rebuilds a session that continues exactly as the
+// snapshotted one. Any invalid field (predictor state, an error outside
+// the clamp, measurements, coverage past its total) fails the session.
+// A family missing from ps starts empty; one the config lacks is
+// ignored; an error window past Config.ErrorWindow keeps its newest.
+func decodeSession(path string, cfg Config, ps PathSnapshot) (*Session, error) {
+	s := newSession(path, cfg)
+	if ps.CovIn > ps.CovTotal {
+		return nil, fmt.Errorf("coverage %d of %d", ps.CovIn, ps.CovTotal)
 	}
-	if len(ps.Families) > 0 {
-		// v2: reinstall each family's error window and model state.
-		byName := make(map[string]FamilySnapshot, len(ps.Families))
+	for _, f := range s.families {
 		for _, fs := range ps.Families {
-			byName[fs.Name] = fs
-		}
-		for _, f := range s.families {
-			fs, ok := byName[f.name]
-			if !ok {
+			if fs.Name != f.name {
 				continue
 			}
-			f.err = windowFromErrors(fs.Errors, s.cfg.ErrorWindow)
-			switch {
-			case f.kind == famRegression && fs.Regression != nil:
-				s.reg.SetState(*fs.Regression)
-			case f.kind == famECM && fs.ECM != nil:
-				s.ecm.SetState(*fs.ECM)
+			if err := s.loadFamily(f, fs); err != nil {
+				return nil, fmt.Errorf("family %s: %w", fs.Name, err)
 			}
+			break // a repeated name is ignored
 		}
-	} else if len(ps.HBErrors) == len(s.hbFamilies()) {
-		// Legacy v1: the paper ensemble's windows carry accuracy the
-		// replay cannot reconstruct (observations older than the history,
-		// FB scores against bygone measurements).
-		for i, errs := range ps.HBErrors {
-			s.hbFamilies()[i].err = windowFromErrors(errs, s.cfg.ErrorWindow)
-		}
-		s.fbFamily().err = windowFromErrors(ps.FBErrors, s.cfg.ErrorWindow)
 	}
-	// Replace the replay-accumulated coverage counters with the real ones
-	// (zero for v1 snapshots: coverage starts fresh rather than counting
-	// the replay's synthetic intervals).
+	s.observations = ps.Observations
 	s.covIn, s.covTotal = ps.CovIn, ps.CovTotal
-	if ps.Observations > s.observations {
-		s.observations = ps.Observations
-	}
 	if ps.FBInputs != nil {
-		s.setMeasurementLocked(predict.FBInputs{
-			RTT:      ps.FBInputs.RTTSeconds,
-			LossRate: ps.FBInputs.LossRate,
-			AvailBw:  ps.FBInputs.AvailBwBps,
-		})
+		if !ValidMeasurement(*ps.FBInputs) {
+			return nil, fmt.Errorf("invalid measurements %+v", *ps.FBInputs)
+		}
+		// Restores the regression features and ECM conditions too.
+		s.setMeasurementLocked(*ps.FBInputs)
 		// Carry the measurement age across the restart so a forecast that
 		// was stale before the crash stays stale after it.
-		age := ps.FBAge
-		if age > s.observations {
-			age = s.observations
-		}
-		s.fbSetAtObs = s.observations - age
+		s.fbSetAtObs = s.observations - min(ps.FBAge, s.observations)
 	}
+	return s, nil
 }
 
-// errWindow is a fixed-size ring of the most recent relative errors.
-type errWindow struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-func newErrWindow(n int) *errWindow {
-	return &errWindow{buf: make([]float64, 0, n)}
-}
-
-// windowFromErrors rebuilds a window from serialized errors, keeping the
-// most recent cap entries.
-func windowFromErrors(errs []float64, capacity int) *errWindow {
-	w := newErrWindow(capacity)
-	if len(errs) > capacity {
-		errs = errs[len(errs)-capacity:]
+// loadFamily installs one family's error window and predictor state.
+func (s *Session) loadFamily(f *family, fs FamilySnapshot) error {
+	errs := fs.Errors
+	if n := f.err.Cap(); len(errs) > n {
+		errs = errs[len(errs)-n:]
 	}
 	for _, e := range errs {
-		w.push(e)
-	}
-	return w
-}
-
-func (w *errWindow) push(e float64) {
-	if !w.full && len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, e)
-		if len(w.buf) == cap(w.buf) {
-			w.full = true
+		if s.clampErr(e) != e {
+			return fmt.Errorf("error %v outside the clamp", e)
 		}
-		return
+		f.err.Push(e)
 	}
-	w.buf[w.next] = e
-	w.next = (w.next + 1) % len(w.buf)
+	rest := fs.State
+	var err error
+	if st, ok := f.hb.(predict.Stateful); ok {
+		rest, err = st.LoadState(rest)
+	}
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d trailing state values", len(rest))
+	}
+	return err
 }
 
-func (w *errWindow) count() int { return len(w.buf) }
-
-// chronological returns the retained errors oldest first (the ring is
-// unrolled), so a restored window keeps evicting in the original order.
-func (w *errWindow) chronological() []float64 {
-	out := make([]float64, 0, len(w.buf))
-	if w.full {
-		out = append(out, w.buf[w.next:]...)
-		return append(out, w.buf[:w.next]...)
-	}
-	return append(out, w.buf...)
-}
-
-// forEachChrono visits the retained errors oldest first. Aggregations
-// must accumulate in this order, not ring-storage order: float addition
-// is not associative, and a snapshot-restored window is compacted while
-// a live one is rotated — identical contents must yield bit-identical
-// statistics either way, or a spill/fault cycle would change predict
-// responses.
-func (w *errWindow) forEachChrono(fn func(float64)) {
-	if w.full {
-		for _, e := range w.buf[w.next:] {
-			fn(e)
-		}
-		for _, e := range w.buf[:w.next] {
-			fn(e)
-		}
-		return
-	}
-	for _, e := range w.buf {
-		fn(e)
-	}
-}
+// errWindow is a family's rolling window of Eq.-4 errors.
+type errWindow struct{ predict.Ring }
 
 // rmsre returns the rolling RMSRE (paper Eq. 5) with |E| clamped at clamp;
 // ok is false when no errors have been recorded yet.
 func (w *errWindow) rmsre(clamp float64) (float64, bool) {
-	if len(w.buf) == 0 {
+	n := w.Len()
+	if n == 0 {
 		return 0, false
 	}
 	var sum float64
-	w.forEachChrono(func(e float64) {
+	w.Do(func(e float64) {
 		if clamp > 0 {
 			if e > clamp {
 				e = clamp
@@ -716,16 +649,17 @@ func (w *errWindow) rmsre(clamp float64) (float64, bool) {
 		}
 		sum += e * e
 	})
-	return math.Sqrt(sum / float64(len(w.buf))), true
+	return math.Sqrt(sum / float64(n)), true
 }
 
 // meanAbs returns the mean |E| over the window (0 when empty) — the
 // regret bookkeeping's per-family loss.
 func (w *errWindow) meanAbs() float64 {
-	if len(w.buf) == 0 {
+	n := w.Len()
+	if n == 0 {
 		return 0
 	}
 	var sum float64
-	w.forEachChrono(func(e float64) { sum += math.Abs(e) })
-	return sum / float64(len(w.buf))
+	w.Do(func(e float64) { sum += math.Abs(e) })
+	return sum / float64(n)
 }

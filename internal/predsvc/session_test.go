@@ -2,6 +2,7 @@ package predsvc
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -130,7 +131,7 @@ func TestSessionDeterminism(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	cfg := Config{Shards: 2, Capacity: 32}
 	reg := NewRegistry(cfg)
-	series := SyntheticSeries(5, 40, 7) // well under HistoryLimit
+	series := SyntheticSeries(5, 40, 7)
 	for _, ps := range series {
 		s := reg.GetOrCreate(ps.Path)
 		for i, x := range ps.Throughputs {
@@ -161,10 +162,20 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Version mismatch is rejected.
-	bad := &Snapshot{Version: 99}
-	if _, err := NewRegistry(cfg).Restore(bad); err == nil {
-		t.Error("Restore accepted a bad snapshot version")
+	// Every other version is rejected, including the retired replay
+	// formats 1 and 2, by both the file codec and Restore.
+	for _, v := range []int{1, 2, 99} {
+		bad := &Snapshot{Version: v, Paths: snap.Paths}
+		if _, err := NewRegistry(cfg).Restore(bad); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("Restore accepted snapshot version %d: %v", v, err)
+		}
+		data, err := EncodeSnapshot(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("DecodeSnapshot accepted version %d: %v", v, err)
+		}
 	}
 }
 
@@ -197,10 +208,10 @@ func TestSnapshotFiniteAfterNonPositiveForecast(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for _, ps := range snap.Paths {
-		for i, errs := range ps.HBErrors {
-			for _, e := range errs {
+		for _, fs := range ps.Families {
+			for _, e := range fs.Errors {
 				if math.IsInf(e, 0) || math.IsNaN(e) {
-					t.Fatalf("HBErrors[%d] holds non-finite error %v", i, e)
+					t.Fatalf("family %s holds non-finite error %v", fs.Name, e)
 				}
 			}
 		}

@@ -15,48 +15,33 @@ import (
 	"repro/internal/predict"
 )
 
-// FBInputsSnapshot is the serialized form of the latest a-priori
-// measurements installed on a path.
-type FBInputsSnapshot struct {
-	RTTSeconds float64 `json:"rtt_s"`
-	LossRate   float64 `json:"loss_rate"`
-	AvailBwBps float64 `json:"avail_bw_bps"`
-}
-
 // FamilySnapshot is one tournament family's serialized state: its
-// rolling Eq.-4 error window (which doubles as quantile calibration
-// data), plus model state for the families whose memory is not a
-// bounded function of the retained history — the regression's decayed
-// normal equations and the ECM's conditional histograms.
+// rolling Eq.-4 error window, oldest first (it doubles as quantile
+// calibration data), and its predictor's exact state vector as written
+// by predict.Stateful.AppendState — every accumulator as it stands, rings
+// oldest first. The FB family has no State: its forecast is a function
+// of the standing measurements.
 type FamilySnapshot struct {
-	Name       string                   `json:"name"`
-	Errors     []float64                `json:"errors,omitempty"`
-	Regression *predict.RegressionState `json:"regression,omitempty"`
-	ECM        *predict.ECMState        `json:"ecm,omitempty"`
+	Name   string    `json:"name"`
+	Errors []float64 `json:"errors,omitempty"`
+	State  []float64 `json:"state,omitempty"`
 }
 
-// PathSnapshot is one path's replayable state: the retained raw
-// observation history (bounded by Config.HistoryLimit), the lifetime
-// observation count, the latest FB measurements, and the rolling error
-// windows of every predictor (which cannot be rebuilt from history alone —
-// FB errors depend on measurements that are not retained per epoch).
-//
-// Version 2 added Families (the predictor-zoo tournament state) and the
-// interval-coverage counters; HBErrors/FBErrors remain the v1-shaped
-// mirror of the paper ensemble's windows. A v1 snapshot (no Families)
-// restores through the legacy fields; the zoo families then warm up
-// from live traffic.
+// PathSnapshot is one path's exact state: the lifetime observation
+// count, the latest FB measurements and their age, the interval-coverage
+// counters, and every family's error window and predictor state.
+// Restoring it yields a session that answers, and continues, exactly as
+// the snapshotted one — however long the path's history. A family the
+// record lacks starts empty; a family whose state does not validate
+// makes the whole record corrupt.
 type PathSnapshot struct {
 	Path         string            `json:"path"`
 	Observations uint64            `json:"observations"`
-	History      []float64         `json:"history"`
-	FBInputs     *FBInputsSnapshot `json:"fb_inputs,omitempty"`
+	FBInputs     *predict.FBInputs `json:"fb_inputs,omitempty"`
 	// FBAge is how many observations the path had absorbed since the
 	// FBInputs measurements were installed — preserved so staleness
 	// flagging survives a restart.
-	FBAge    uint64      `json:"fb_age,omitempty"`
-	HBErrors [][]float64 `json:"hb_errors,omitempty"`
-	FBErrors []float64   `json:"fb_errors,omitempty"`
+	FBAge uint64 `json:"fb_age,omitempty"`
 
 	Families []FamilySnapshot `json:"families,omitempty"`
 	// CovIn/CovTotal carry the interval-coverage calibration counters.
@@ -64,29 +49,21 @@ type PathSnapshot struct {
 	CovTotal uint64 `json:"cov_total,omitempty"`
 }
 
-// Snapshot is the serialized registry: every session's replayable state,
+// Snapshot is the serialized registry: every session's exact state,
 // shard by shard, least recently used first — so restoring in file order
 // into an equally-sharded registry reproduces each shard's recency order.
-//
-// Restore replays each path's history through a fresh session. Predictors
-// whose memory fits in HistoryLimit observations (MA, LSO windows) come
-// back exactly; EWMA and Holt-Winters come back with their influence from
-// observations older than the retained history dropped, which is the
-// documented approximation for this cache-like registry.
+// The same PathSnapshot JSON is the record of the spill log and of the
+// shard-handoff stream.
 type Snapshot struct {
 	Version int            `json:"version"`
 	Paths   []PathSnapshot `json:"paths"`
 }
 
-// snapshotVersion guards the on-disk format. Version 2 (the predictor
-// zoo) added per-family tournament state; version-1 files remain
-// readable — see PathSnapshot.
-const (
-	snapshotVersion       = 2
-	snapshotVersionLegacy = 1
-)
+// snapshotVersion is the only format version accepted: 3, exact state.
+// Versions 1 and 2 carried replay history and are rejected as corrupt.
+const snapshotVersion = 3
 
-// Snapshot captures the replayable state of every session.
+// Snapshot captures the exact state of every session.
 func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{Version: snapshotVersion}
 	r.forEachLRU(func(s *Session) {
@@ -95,24 +72,33 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
-// Restore replays snap into the registry (intended for a freshly built
+// Restore loads snap into the registry (intended for a freshly built
 // one) and returns the number of paths restored. Paths beyond capacity
-// evict exactly as live traffic would.
+// evict exactly as live traffic would. A path whose state does not
+// validate fails the whole restore with an error wrapping
+// ErrCorruptSnapshot, and the paths restored before it are removed again.
 func (r *Registry) Restore(snap *Snapshot) (int, error) {
-	if snap.Version != snapshotVersion && snap.Version != snapshotVersionLegacy {
-		return 0, fmt.Errorf("predsvc: snapshot version %d, want %d or %d", snap.Version, snapshotVersionLegacy, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return 0, fmt.Errorf("%w: version %d, want %d", ErrCorruptSnapshot, snap.Version, snapshotVersion)
 	}
-	for _, ps := range snap.Paths {
-		r.GetOrCreate(ps.Path).restore(ps)
+	for i, ps := range snap.Paths {
+		s, err := decodeSession(ps.Path, r.cfg, ps)
+		if err != nil {
+			for _, done := range snap.Paths[:i] {
+				r.Delete(done.Path)
+			}
+			return 0, fmt.Errorf("%w: path %q: %w", ErrCorruptSnapshot, ps.Path, err)
+		}
+		r.install(s)
 	}
 	return len(snap.Paths), nil
 }
 
-// ErrCorruptSnapshot tags snapshot data that fails its checksum, does not
-// parse, or carries an unknown version — anything a crash mid-write, a
-// torn disk, or a foreign file could produce. Callers match it with
-// errors.Is to distinguish "quarantine and boot empty" from real I/O
-// failures.
+// ErrCorruptSnapshot tags snapshot data that lacks or fails its
+// checksum, does not parse, carries another version, or holds state that
+// does not validate — anything a crash mid-write, a torn disk, or a
+// foreign file could produce. Callers match it with errors.Is to
+// distinguish "quarantine and boot empty" from real I/O failures.
 var ErrCorruptSnapshot = errors.New("predsvc: corrupt snapshot")
 
 // checksumPrefix separates the JSON body from the integrity trailer.
@@ -136,25 +122,26 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 }
 
 // DecodeSnapshot parses EncodeSnapshot output, verifying the checksum
-// trailer when present. Data without a trailer (the pre-checksum format)
-// is accepted if it parses as JSON. Corruption of any kind returns an
-// error wrapping ErrCorruptSnapshot.
+// trailer. Corruption of any kind — including a missing trailer —
+// returns an error wrapping ErrCorruptSnapshot. The predictor state is
+// validated later, by Registry.Restore, against the registry's config.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	body := data
-	if i := bytes.LastIndex(data, []byte(checksumPrefix)); i >= 0 {
-		body = data[:i]
-		want := strings.TrimSpace(string(data[i+len(checksumPrefix):]))
-		sum := sha256.Sum256(body)
-		if want != hex.EncodeToString(sum[:]) {
-			return nil, fmt.Errorf("%w: sha256 mismatch", ErrCorruptSnapshot)
-		}
+	i := bytes.LastIndex(data, []byte(checksumPrefix))
+	if i < 0 {
+		return nil, fmt.Errorf("%w: no sha256 trailer", ErrCorruptSnapshot)
+	}
+	body := data[:i]
+	want := strings.TrimSpace(string(data[i+len(checksumPrefix):]))
+	sum := sha256.Sum256(body)
+	if want != hex.EncodeToString(sum[:]) {
+		return nil, fmt.Errorf("%w: sha256 mismatch", ErrCorruptSnapshot)
 	}
 	var snap Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	if snap.Version != snapshotVersion && snap.Version != snapshotVersionLegacy {
-		return nil, fmt.Errorf("%w: version %d, want %d or %d", ErrCorruptSnapshot, snap.Version, snapshotVersionLegacy, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorruptSnapshot, snap.Version, snapshotVersion)
 	}
 	return &snap, nil
 }

@@ -21,9 +21,8 @@ type Entry interface {
 }
 
 // Codec serializes entries for the disk tier. Encode must capture enough
-// state for Decode to rebuild a usable entry; the round trip may be
-// approximate (predsvc sessions document exactly how), but must be
-// deterministic.
+// state for Decode to rebuild a usable entry; the round trip must be
+// deterministic (predsvc sessions round-trip exactly).
 type Codec struct {
 	Encode func(Entry) ([]byte, error)
 	Decode func(path string, data []byte) (Entry, error)

@@ -308,7 +308,7 @@ func (r *Server) handleObserveFast(w http.ResponseWriter, req *http.Request) int
 		r.metrics.rejectedInputs.Add(1)
 		return writePre(w, http.StatusBadRequest, errBodyBadThroughput)
 	}
-	n := r.reg.GetOrCreateBytes(wc.path).Observe(tput)
+	n := r.reg.observe(wc.path, tput)
 	r.metrics.observations.Add(1)
 	e := jenc{b: wc.out[:0]}
 	e.raw(`{"path":`)
@@ -373,7 +373,7 @@ func (r *Server) handleMeasureFast(w http.ResponseWriter, req *http.Request) int
 		r.metrics.rejectedInputs.Add(1)
 		return writePre(w, http.StatusBadRequest, errBodyBadMeasurement)
 	}
-	f := r.reg.GetOrCreateBytes(wc.path).SetMeasurement(in)
+	f := r.reg.setMeasurement(wc.path, in)
 	e := jenc{b: wc.out[:0]}
 	e.raw(`{"path":`)
 	e.strb(wc.path)
@@ -466,7 +466,7 @@ func (r *Server) handleObserveBatchFast(w http.ResponseWriter, req *http.Request
 				rejected++
 				return nil
 			}
-			r.reg.GetOrCreateBytes(wc.path).Observe(tput)
+			r.reg.observe(wc.path, tput)
 			r.metrics.observations.Add(1)
 			accepted++
 			return nil

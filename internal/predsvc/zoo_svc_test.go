@@ -103,76 +103,6 @@ func TestCalibrationEndToEnd(t *testing.T) {
 	t.Logf("calibration: coverage %.3f over %d intervals", rep.IntervalCoverage, rep.IntervalsScored)
 }
 
-// TestLegacyV1SnapshotRestore: a version-1 snapshot (PR-6 era: HBErrors /
-// FBErrors, no Families) must restore cleanly into the zoo registry — the
-// paper ensemble comes back with its windows, the new families warm up
-// empty — and keep serving.
-func TestLegacyV1SnapshotRestore(t *testing.T) {
-	legacy := &Snapshot{
-		Version: 1,
-		Paths: []PathSnapshot{{
-			Path:         "v1-path",
-			Observations: 6,
-			History:      []float64{10e6, 12e6, 11e6, 13e6, 12e6, 12.5e6},
-			FBInputs:     &FBInputsSnapshot{RTTSeconds: 0.05, LossRate: 0.001, AvailBwBps: 20e6},
-			FBAge:        2,
-			HBErrors: [][]float64{
-				{0.2, -0.1, 0.05, 0.1, -0.04},
-				{0.15, -0.12, 0.06, 0.09, -0.03},
-				{0.3, -0.2, 0.1, 0.15, -0.08},
-			},
-			FBErrors: []float64{0.5, 0.4},
-		}},
-	}
-
-	// Round-trip through the codec: version 1 must still decode.
-	data, err := EncodeSnapshot(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatalf("DecodeSnapshot rejected a version-1 file: %v", err)
-	}
-
-	reg := NewRegistry(Config{Shards: 1, Capacity: 8})
-	if n, err := reg.Restore(decoded); err != nil || n != 1 {
-		t.Fatalf("Restore(v1) = (%d, %v), want (1, nil)", n, err)
-	}
-	s, ok := reg.Peek("v1-path")
-	if !ok {
-		t.Fatal("v1 path missing after restore")
-	}
-	p := s.Predict()
-	if p.Observations != 6 {
-		t.Errorf("Observations = %d, want 6", p.Observations)
-	}
-	// The paper ensemble's windows came back verbatim.
-	for i, st := range p.HB {
-		if st.ErrorCount != len(legacy.Paths[0].HBErrors[i]) {
-			t.Errorf("%s ErrorCount = %d, want %d (legacy window)", st.Name, st.ErrorCount, len(legacy.Paths[0].HBErrors[i]))
-		}
-	}
-	if p.FB == nil || p.FB.ErrorCount != 2 {
-		t.Fatalf("FB state not restored from legacy FBErrors: %+v", p.FB)
-	}
-	// The zoo is live: new families exist and keep learning from traffic.
-	if len(p.Families) != 7 {
-		t.Fatalf("restored session runs %d families, want the full zoo of 7", len(p.Families))
-	}
-	s.Observe(12e6)
-	s.Observe(12.2e6)
-	p2 := s.Predict()
-	if p2.Family == "" {
-		t.Error("no tournament winner after post-restore traffic")
-	}
-
-	// A never-written version must still be rejected.
-	if _, err := NewRegistry(Config{Shards: 1, Capacity: 8}).Restore(&Snapshot{Version: 99}); err == nil {
-		t.Error("Restore accepted snapshot version 99")
-	}
-}
-
 // TestSnapshotZooFamiliesFinite mirrors the PR-2 Holt-Winters clamp fix
 // at the zoo level: after a collapsing series (HW goes negative, raw
 // relative errors blow up toward ±Inf) every family's serialized error
