@@ -248,18 +248,24 @@ func BenchmarkPacketPath(b *testing.B) {
 }
 
 // BenchmarkQueueForwarding measures packet forwarding through one queue.
+// The one packet is recycled every op (netem.Drop never keeps it), so
+// allocs/op counts the queue's allocations, not the benchmark's.
 func BenchmarkQueueForwarding(b *testing.B) {
 	eng := sim.NewEngine()
 	q := netem.NewQueue(eng, sim.NewRNG(1), "q", 1e12, 0, 1<<30, netem.Drop)
+	pkt := &netem.Packet{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Receive(&netem.Packet{Size: 1500})
+		*pkt = netem.Packet{Size: 1500}
+		q.Receive(pkt)
 		eng.Run()
 	}
 }
 
-// BenchmarkTCPTransfer measures simulating a 1 MB transfer end to end.
-func BenchmarkTCPTransfer(b *testing.B) {
+// benchTransfer simulates a 1 MB transfer end to end with the given
+// congestion control: sender, receiver, queues and the event loop.
+func benchTransfer(b *testing.B, cc tcpsim.Congestion) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		rng := sim.NewRNG(int64(i + 1))
@@ -269,12 +275,21 @@ func BenchmarkTCPTransfer(b *testing.B) {
 				{CapacityBps: 20e6, PropDelay: 0.02, BufferBytes: 96 * 1500},
 			},
 		})
-		rep := iperf.RunBytes(eng, path, 1, 1<<20, 60, tcpsim.Config{})
+		rep := iperf.RunBytes(eng, path, 1, 1<<20, 60, tcpsim.Config{Congestion: cc})
 		if rep.BytesAcked < 1<<20 {
 			b.Fatal("transfer incomplete")
 		}
 	}
 }
+
+// BenchmarkTCPTransfer measures simulating a 1 MB Reno transfer end to end.
+func BenchmarkTCPTransfer(b *testing.B) { benchTransfer(b, tcpsim.CCReno) }
+
+// BenchmarkCUBICTransfer measures the same 1 MB transfer under CUBIC.
+func BenchmarkCUBICTransfer(b *testing.B) { benchTransfer(b, tcpsim.CCCubic) }
+
+// BenchmarkBBRTransfer measures the same 1 MB transfer under BBR.
+func BenchmarkBBRTransfer(b *testing.B) { benchTransfer(b, tcpsim.CCBBR) }
 
 // benchCCSteadyState measures the per-ACK decision stream of a long
 // transfer at the CongestionControl seam: growth on cumulative ACKs,
@@ -303,12 +318,12 @@ func benchCCSteadyState(b *testing.B, cc tcpsim.Congestion) {
 	}
 }
 
-// BenchmarkCUBICTransfer measures CUBIC's steady-state transfer hot path.
-func BenchmarkCUBICTransfer(b *testing.B) { benchCCSteadyState(b, tcpsim.CCCubic) }
+// BenchmarkCUBICOnAck measures CUBIC's per-ACK decisions at the seam.
+func BenchmarkCUBICOnAck(b *testing.B) { benchCCSteadyState(b, tcpsim.CCCubic) }
 
-// BenchmarkBBRTransfer measures BBR's steady-state transfer hot path
-// (round accounting, minmax filters, state machine — all per-ACK).
-func BenchmarkBBRTransfer(b *testing.B) { benchCCSteadyState(b, tcpsim.CCBBR) }
+// BenchmarkBBROnAck measures BBR's per-ACK decisions at the seam (round
+// accounting, minmax filters, state machine).
+func BenchmarkBBROnAck(b *testing.B) { benchCCSteadyState(b, tcpsim.CCBBR) }
 
 // BenchmarkPFTK measures one formula evaluation.
 func BenchmarkPFTK(b *testing.B) {

@@ -187,11 +187,35 @@ type Estimator struct {
 
 	arrivals []float64 // OWDs of the stream in flight
 	expected int
+	chirps   *chirpEmitter
 }
 
 // NewEstimator creates an estimator using flow on the path.
 func NewEstimator(eng *sim.Engine, path *netem.Path, flow netem.FlowID, cfg Config) *Estimator {
 	return &Estimator{cfg: cfg.Defaults(), eng: eng, path: path, flow: flow}
+}
+
+// chirpEmitter sends one stream's packets. Its bound emit callback is
+// scheduled once per packet; the packets of a stream fire in index order,
+// so a next-index counter stands in for a closure per packet. A stream
+// reuses the previous stream's emitter once that one has sent its last
+// packet, which keeps each stream's count exact even if a stream's tail
+// were still pending when the next stream starts.
+type chirpEmitter struct {
+	e      *Estimator
+	next   int
+	emitFn func()
+}
+
+func (c *chirpEmitter) emit() {
+	e := c.e
+	pkt := e.path.A.NewPacket()
+	pkt.Flow = e.flow
+	pkt.Kind = netem.KindChirp
+	pkt.Size = e.cfg.PacketSize
+	pkt.Seq = int64(c.next)
+	c.next++
+	e.path.A.Send(pkt)
 }
 
 // sendStream transmits one periodic stream at rate bps and returns the
@@ -203,16 +227,15 @@ func (e *Estimator) sendStream(rate float64) []float64 {
 	defer e.path.B.Register(e.flow, nil)
 
 	gap := float64(e.cfg.PacketSize) * 8 / rate
+	c := e.chirps
+	if c == nil || c.next < e.cfg.StreamLength {
+		c = &chirpEmitter{e: e}
+		c.emitFn = c.emit
+		e.chirps = c
+	}
+	c.next = 0
 	for i := 0; i < e.cfg.StreamLength; i++ {
-		i := i
-		e.eng.Schedule(float64(i)*gap, func() {
-			pkt := e.path.A.NewPacket()
-			pkt.Flow = e.flow
-			pkt.Kind = netem.KindChirp
-			pkt.Size = e.cfg.PacketSize
-			pkt.Seq = int64(i)
-			e.path.A.Send(pkt)
-		})
+		e.eng.Schedule(float64(i)*gap, c.emitFn)
 	}
 	streamTime := float64(e.cfg.StreamLength)*gap + e.cfg.Timeout
 	deadline := e.eng.Now() + streamTime

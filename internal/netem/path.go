@@ -216,9 +216,10 @@ func (ep *Endpoint) Receive(pkt *Packet) {
 // used to give cross-traffic TCP flows a different RTT than the target flow
 // without building a separate topology.
 type DelayReceiver struct {
-	Delay float64
-	Next  Receiver
-	eng   *sim.Engine
+	Delay  float64
+	Next   Receiver
+	eng    *sim.Engine
+	flight inFlight
 }
 
 // NewDelayReceiver wraps next with a fixed delay stage.
@@ -232,6 +233,5 @@ func (d *DelayReceiver) Receive(pkt *Packet) {
 		d.Next.Receive(pkt)
 		return
 	}
-	next := d.Next
-	d.eng.Schedule(d.Delay, func() { next.Receive(pkt) })
+	d.flight.send(d.eng, d.Delay, pkt, d.Next)
 }

@@ -20,7 +20,10 @@ package netem
 //     protocol handler that extracts the packet's information), or the
 //     drop site (queue loss/overflow/RED, endpoint default-Drop fallback).
 //   - Pass-through elements (queues in transit, DelayReceiver, fault
-//     injection wrappers) never Put.
+//     injection wrappers) never Put. The in-flight rings that carry
+//     packets across a propagation delay hold each packet only from
+//     departure to delivery and clear its slot on pop, so they keep
+//     nothing alive once the receiver has released it.
 //   - Failing to Put is benign — the packet falls to the garbage
 //     collector and the pool simply misses a recycle. Putting twice is a
 //     protocol violation and panics immediately via the Size sentinel.

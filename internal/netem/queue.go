@@ -63,16 +63,22 @@ type Queue struct {
 	Rate *RateSchedule
 	Next Receiver
 
-	eng     *sim.Engine
-	rng     *sim.RNG
-	pool    *PacketPool // set when the queue belongs to a Path; nil-safe
-	fifo    []*Packet
-	head    int
-	qBytes  int
-	avgQ    float64 // EWMA of occupancy (bytes) for RED
-	busy    bool
-	stats   QueueStats
-	monitor func(evt QueueEvent)
+	eng    *sim.Engine
+	rng    *sim.RNG
+	pool   *PacketPool // set when the queue belongs to a Path; nil-safe
+	fifo   []*Packet
+	head   int
+	qBytes int
+	avgQ   float64 // EWMA of occupancy (bytes) for RED
+	// inService is the packet being serialized onto the link, nil while
+	// the link is idle. The link sends one packet at a time, so one slot
+	// and one bound completion callback (txDoneFn = q.txDone) replace a
+	// closure per packet.
+	inService *Packet
+	txDoneFn  func()
+	flight    inFlight // departed packets propagating toward Next
+	stats     QueueStats
+	monitor   func(evt QueueEvent)
 }
 
 // QueueEvent describes a packet-level event at a queue, for tracing and
@@ -163,7 +169,7 @@ func (q *Queue) Receive(pkt *Packet) {
 	q.fifo = append(q.fifo, pkt)
 	q.qBytes += pkt.Size
 	q.emit(EvEnqueue, pkt)
-	if !q.busy {
+	if q.inService == nil {
 		q.transmitNext()
 	}
 }
@@ -199,14 +205,16 @@ func (q *Queue) redDrop(pkt *Packet) bool {
 	}
 }
 
+// transmitNext moves the head of the FIFO into service and schedules its
+// transmission-complete event, or marks the link idle when the FIFO is
+// empty.
 func (q *Queue) transmitNext() {
 	if q.head == len(q.fifo) {
-		q.busy = false
+		q.inService = nil
 		q.fifo = q.fifo[:0]
 		q.head = 0
 		return
 	}
-	q.busy = true
 	pkt := q.fifo[q.head]
 	q.fifo[q.head] = nil
 	q.head++
@@ -215,27 +223,36 @@ func (q *Queue) transmitNext() {
 		q.fifo = q.fifo[:n]
 		q.head = 0
 	}
+	q.inService = pkt
 	q.qBytes -= pkt.Size
 	tx := q.TransmissionTime(pkt.Size)
 	if q.Rate != nil {
 		tx /= q.Rate.At(q.eng.Now())
 	}
-	q.eng.Schedule(tx, func() {
-		q.stats.Departures++
-		q.stats.BytesOut += int64(pkt.Size)
-		q.emit(EvDequeue, pkt)
-		next := q.Next
-		delay := q.PropDelay
-		if q.ReorderProb > 0 && q.rng != nil && q.rng.Bool(q.ReorderProb) {
-			extra := q.ReorderDelay
-			if extra == 0 {
-				extra = q.PropDelay
-			}
-			delay += extra
+	if q.txDoneFn == nil {
+		q.txDoneFn = q.txDone
+	}
+	q.eng.Schedule(tx, q.txDoneFn)
+}
+
+// txDone completes the in-service packet's transmission: it starts the
+// packet's propagation toward Next and puts the following packet into
+// service.
+func (q *Queue) txDone() {
+	pkt := q.inService
+	q.stats.Departures++
+	q.stats.BytesOut += int64(pkt.Size)
+	q.emit(EvDequeue, pkt)
+	delay := q.PropDelay
+	if q.ReorderProb > 0 && q.rng != nil && q.rng.Bool(q.ReorderProb) {
+		extra := q.ReorderDelay
+		if extra == 0 {
+			extra = q.PropDelay
 		}
-		q.eng.Schedule(delay, func() { next.Receive(pkt) })
-		q.transmitNext()
-	})
+		delay += extra
+	}
+	q.flight.send(q.eng, delay, pkt, q.Next)
+	q.transmitNext()
 }
 
 func (q *Queue) emit(kind QueueEventKind, pkt *Packet) {

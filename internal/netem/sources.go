@@ -28,6 +28,8 @@ type PoissonSource struct {
 	pool    *PacketPool
 	stopped bool
 	sent    int64
+	// Bound once in Start, so rescheduling allocates nothing.
+	fireFn, scheduleNextFn func()
 }
 
 // NewPoissonSource builds a Poisson cross-traffic source. load may be nil
@@ -45,6 +47,7 @@ func NewPoissonSource(eng *sim.Engine, rng *sim.RNG, flow FlowID, rateBps float6
 // Start begins packet generation.
 func (s *PoissonSource) Start() {
 	s.pool = poolOf(s.Out)
+	s.fireFn, s.scheduleNextFn = s.fire, s.scheduleNext
 	s.scheduleNext()
 }
 
@@ -72,23 +75,26 @@ func (s *PoissonSource) scheduleNext() {
 	rate := s.RateBps * s.Load.At(s.eng.Now())
 	if rate <= 0 {
 		// Idle: re-check for rate resumption after a short pause.
-		s.eng.Schedule(0.1, s.scheduleNext)
+		s.eng.Schedule(0.1, s.scheduleNextFn)
 		return
 	}
 	mean := float64(s.Size) * 8 / rate
-	s.eng.Schedule(s.rng.Exp(mean), func() {
-		if s.stopped {
-			return
-		}
-		s.sent += int64(s.Size)
-		pkt := s.pool.Get()
-		pkt.Flow = s.Flow
-		pkt.Kind = KindCross
-		pkt.Size = s.Size
-		pkt.SentAt = s.eng.Now()
-		s.Out.Receive(pkt)
-		s.scheduleNext()
-	})
+	s.eng.Schedule(s.rng.Exp(mean), s.fireFn)
+}
+
+// fire emits one packet and schedules the next arrival.
+func (s *PoissonSource) fire() {
+	if s.stopped {
+		return
+	}
+	s.sent += int64(s.Size)
+	pkt := s.pool.Get()
+	pkt.Flow = s.Flow
+	pkt.Kind = KindCross
+	pkt.Size = s.Size
+	pkt.SentAt = s.eng.Now()
+	s.Out.Receive(pkt)
+	s.scheduleNext()
 }
 
 // ParetoOnOffSource emits packets at a constant PeakRateBps during ON
@@ -113,6 +119,8 @@ type ParetoOnOffSource struct {
 	sent    int64
 	on      bool
 	onEnds  float64
+	// Bound once in Start, so the ON/OFF cycle allocates nothing.
+	emitFn, startOnFn func()
 }
 
 // NewParetoOnOffSource builds a Pareto ON/OFF source.
@@ -133,6 +141,7 @@ func NewParetoOnOffSource(eng *sim.Engine, rng *sim.RNG, flow FlowID, peakBps fl
 // Start begins the ON/OFF cycle (starting OFF).
 func (s *ParetoOnOffSource) Start() {
 	s.pool = poolOf(s.Out)
+	s.emitFn, s.startOnFn = s.emit, s.startOn
 	s.startOff()
 }
 
@@ -170,7 +179,7 @@ func (s *ParetoOnOffSource) startOff() {
 	} else {
 		meanOff = s.MeanOff * 10
 	}
-	s.eng.Schedule(s.paretoDuration(meanOff), s.startOn)
+	s.eng.Schedule(s.paretoDuration(meanOff), s.startOnFn)
 }
 
 func (s *ParetoOnOffSource) startOn() {
@@ -198,5 +207,5 @@ func (s *ParetoOnOffSource) emit() {
 	pkt.SentAt = s.eng.Now()
 	s.Out.Receive(pkt)
 	gap := float64(s.Size) * 8 / s.PeakRateBps
-	s.eng.Schedule(gap, s.emit)
+	s.eng.Schedule(gap, s.emitFn)
 }

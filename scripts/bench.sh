@@ -16,12 +16,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-GATE='BenchmarkEngineEvents,BenchmarkTCPTransfer,BenchmarkCUBICTransfer,BenchmarkBBRTransfer,BenchmarkHWLSOObserve,BenchmarkRegressionObserve,BenchmarkECMObserve,BenchmarkWireObserveDecode,BenchmarkWireObserveEncode,BenchmarkWirePredictEncode'
+GATE='BenchmarkEngineEvents,BenchmarkTCPTransfer,BenchmarkCUBICTransfer,BenchmarkBBRTransfer,BenchmarkCUBICOnAck,BenchmarkBBROnAck,BenchmarkHWLSOObserve,BenchmarkRegressionObserve,BenchmarkECMObserve,BenchmarkWireObserveDecode,BenchmarkWireObserveEncode,BenchmarkWirePredictEncode'
 MAX_REGRESS=25
-# The wire codec benches and the per-ACK congestion-control hot path must
-# stay allocation-free: zero allocs/op is their contract, enforced
-# absolutely (not as a percentage).
-ZERO_ALLOC='BenchmarkCUBICTransfer,BenchmarkBBRTransfer,BenchmarkWireObserveDecode,BenchmarkWireObserveEncode,BenchmarkWirePredictEncode,BenchmarkWirePredictRoundTrip'
+# The wire codec benches, the per-ACK congestion-control hot path and the
+# packet path (queue transmit + propagation) must stay allocation-free:
+# zero allocs/op is their contract, enforced absolutely (not as a
+# percentage).
+ZERO_ALLOC='BenchmarkCUBICOnAck,BenchmarkBBROnAck,BenchmarkPacketPath,BenchmarkQueueForwarding,BenchmarkWireObserveDecode,BenchmarkWireObserveEncode,BenchmarkWirePredictEncode,BenchmarkWirePredictRoundTrip'
 WIRE_BENCH='BenchmarkWireObserveDecode|BenchmarkJSONObserveDecode|BenchmarkWireObserveEncode|BenchmarkJSONObserveEncode|BenchmarkWirePredictEncode|BenchmarkJSONPredictEncode|BenchmarkWirePredictRoundTrip|BenchmarkWireObserveHandler|BenchmarkOracleObserveHandler'
 
 short=0
@@ -59,7 +60,7 @@ if [ "$short" = 1 ]; then
     # CI mode: the hot-path benches only (the figure benches need a multi-
     # second dataset collection), one pass, reduced benchtime.
     echo "==> go test -bench (short)"
-    go test -bench 'BenchmarkEngineEvents|BenchmarkEngineSchedCancel|BenchmarkPacketPath|BenchmarkQueueForwarding|BenchmarkTCPTransfer|BenchmarkCUBICTransfer|BenchmarkBBRTransfer|BenchmarkHWLSOObserve|BenchmarkPFTK|BenchmarkRegressionObserve|BenchmarkECMObserve' \
+    go test -bench 'BenchmarkEngineEvents|BenchmarkEngineSchedCancel|BenchmarkPacketPath|BenchmarkQueueForwarding|BenchmarkTCPTransfer|BenchmarkCUBICTransfer|BenchmarkBBRTransfer|BenchmarkCUBICOnAck|BenchmarkBBROnAck|BenchmarkHWLSOObserve|BenchmarkPFTK|BenchmarkRegressionObserve|BenchmarkECMObserve' \
         -benchmem -benchtime 0.3s -run '^$' -count 1 . | tee "$tmp/bench.txt"
     echo "==> go test -bench wire codec (short)"
     go test -bench "$WIRE_BENCH" \
